@@ -59,6 +59,33 @@ def _jobs_type(value: str) -> int:
     return jobs
 
 
+def _positive(kind):
+    """argparse type for a strictly positive ``kind`` (``int``/``float``).
+
+    Zero, negative and NaN values raise
+    :class:`argparse.ArgumentTypeError` (exit code 2, one-line message)
+    at the boundary instead of a ``ValueError`` deep in the simulation.
+    """
+
+    def parse(value: str):
+        try:
+            number = kind(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value {value!r}"
+            ) from exc
+        if not number > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+        return number
+
+    return parse
+
+
+#: ``--k`` choices: the reliability scenario degrades at most three
+#: workers (``repro.experiments.reliability.default_faults``)
+_MISBEHAVING = range(4)
+
+
 def _parallel_flags(p: argparse.ArgumentParser, cache: bool = True) -> None:
     """Attach the shared ``--jobs`` / ``--cache`` flags to a subcommand."""
     p.add_argument(
@@ -503,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--app", default="url_count",
                        choices=("url_count", "continuous_query"))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rate", type=float, default=200.0)
-        p.add_argument("--duration", type=float, default=duration)
+        p.add_argument("--rate", type=_positive(float), default=200.0)
+        p.add_argument("--duration", type=_positive(float), default=duration)
 
     p = sub.add_parser("demo", help="quick misbehaving-worker demo")
     common(p, 180.0)
@@ -568,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, 240.0)
     p.add_argument("--arm", default="reactive",
                    choices=("baseline", "reactive", "drnn"))
-    p.add_argument("--k", type=int, default=1, help="misbehaving workers")
+    p.add_argument("--k", type=int, default=1, choices=_MISBEHAVING,
+                   help="misbehaving workers")
     p.add_argument("--cache", metavar="DIR", default=None,
                    help="result cache directory (reuses the DRNN arm's "
                         "calibration predictor across runs)")
@@ -577,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chaos", help="seeded chaos campaign (crash/loss/delay)")
     common(p, 180.0)
-    p.add_argument("--runs", type=int, default=3,
+    p.add_argument("--runs", type=_positive(int), default=3,
                    help="simulations in the campaign")
     p.add_argument("--arm", default="baseline",
                    choices=("baseline", "reactive", "online", "autoscale"))
@@ -607,9 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "diurnal_ramp, flash_crowd, hot_key_storm, "
                         "slow_burn")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--runs", type=int, default=2,
+    p.add_argument("--runs", type=_positive(int), default=2,
                    help="paired runs per arm")
-    p.add_argument("--duration", type=float, default=None,
+    p.add_argument("--duration", type=_positive(float), default=None,
                    help="simulated seconds per run (default: the "
                         "scenario's own horizon)")
     p.add_argument("--arms", nargs="+", default=["fixed", "autoscale"],
@@ -631,7 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, 180.0)
     p.add_argument("--arm", default="reactive",
                    choices=("baseline", "reactive", "drnn"))
-    p.add_argument("--k", type=int, default=1, help="misbehaving workers")
+    p.add_argument("--k", type=int, default=1, choices=_MISBEHAVING,
+                   help="misbehaving workers")
     p.add_argument("--latency-bound", type=float, default=1.0,
                    help="p99 complete-latency SLO bound, seconds")
     p.add_argument("--min-availability", type=float, default=0.95,

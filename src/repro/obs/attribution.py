@@ -7,22 +7,25 @@ component *shares* of end-to-end latency, and the bookkeeping needed to
 trust them (how many acked trees were attributable, whether every one of
 them satisfied the bitwise sum invariant).
 
-All internal accumulation stays in exact rationals
-(:class:`fractions.Fraction`); floats appear only at the report boundary,
-so the emitted JSON is byte-identical across schedulers, ``--jobs``
-values, and platforms for the same simulated run.
+All internal accumulation stays in exact scaled integers (seconds ×
+2**1074, see :mod:`repro.obs.spans`), read from one walk of each tree's
+critical path.  Floats appear only at the report boundary, each one the
+exact rational rounded once — an int true division, the same rounding
+``float(Fraction)`` performs — so the emitted JSON is byte-identical
+across schedulers, ``--jobs`` values, and platforms for the same
+simulated run.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.obs.spans import (
     LatencyBreakdown,
     SpanForest,
-    SpanTree,
+    _ExactComponents,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,30 +67,28 @@ class TreeAttribution:
 
 
 @dataclass
-class _Bucket:
-    """Exact-rational component sums over one aggregation key."""
+class _Bucket(_ExactComponents):
+    """Exact component sums over one aggregation key (seconds × 2**1074;
+    ``queue`` etc. read them as :class:`~fractions.Fraction`)."""
 
-    queue: Fraction = Fraction(0)
-    service: Fraction = Fraction(0)
-    transit: Fraction = Fraction(0)
-    replay: Fraction = Fraction(0)
+    n_queue: int = 0
+    n_service: int = 0
+    n_transit: int = 0
+    n_replay: int = 0
     count: int = 0
 
-    def add(self, b: LatencyBreakdown) -> None:
-        self.queue += b.queue
-        self.service += b.service
-        self.transit += b.transit
-        self.replay += b.replay
+    def add(
+        self, queue: int, service: int, transit: int, replay: int = 0
+    ) -> None:
+        self.n_queue += queue
+        self.n_service += service
+        self.n_transit += transit
+        self.n_replay += replay
         self.count += 1
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "queue": float(self.queue),
-            "service": float(self.service),
-            "transit": float(self.transit),
-            "replay": float(self.replay),
-            "tuples": self.count,
-        }
+        out = {c: getattr(self, f"{c}_s") for c in COMPONENTS}
+        return dict(out, tuples=self.count)
 
 
 @dataclass
@@ -121,15 +122,11 @@ class AttributionSummary:
     def shares(self) -> Dict[str, float]:
         """Component fractions of total end-to-end latency (sum ≈ 1)."""
         t = self.totals
-        total = t.queue + t.service + t.transit + t.replay
+        total = t.n_queue + t.n_service + t.n_transit + t.n_replay
         if total == 0:
             return {c: 0.0 for c in COMPONENTS}
-        return {
-            "queue": float(t.queue / total),
-            "service": float(t.service / total),
-            "transit": float(t.transit / total),
-            "replay": float(t.replay / total),
-        }
+        s = -1 if total < 0 else 1  # as Fraction: 0 / negative total is +0.0
+        return {c: s * getattr(t, f"n_{c}") / (s * total) for c in COMPONENTS}
 
     def to_dict(self) -> Dict[str, Any]:
         """Byte-stable JSON-able digest (the report's ``attribution``)."""
@@ -171,21 +168,15 @@ class AttributionSummary:
         Prometheus exposition and deterministic dumps carry the
         decomposition next to the raw latency histograms.
         """
-        t = self.totals
-        for name, value in (
-            ("queue", t.queue), ("service", t.service),
-            ("transit", t.transit), ("replay", t.replay),
-        ):
-            registry.gauge(f"attribution.{name}_seconds").set(float(value))
+        totals = self.totals.to_dict()
+        for name in COMPONENTS:
+            registry.gauge(f"attribution.{name}_seconds").set(totals[name])
         for comp in sorted(self.per_component):
-            b = self.per_component[comp]
-            for name, value in (
-                ("queue", b.queue), ("service", b.service),
-                ("transit", b.transit),
-            ):
+            b = self.per_component[comp].to_dict()
+            for name in ("queue", "service", "transit"):
                 registry.gauge(
                     f"attribution.{name}_seconds", component=comp
-                ).set(float(value))
+                ).set(b[name])
         registry.gauge("attribution.trees", state="attributed").set(
             self.attributed
         )
@@ -196,16 +187,13 @@ class AttributionSummary:
     def render_table(self) -> str:
         """Human attribution table: totals, shares, per component."""
         shares = self.shares()
-        t = self.totals
+        totals = self.totals.to_dict()
         lines = [
             f"{'component':>12}  {'seconds':>12}  {'share %':>8}",
         ]
-        for name, value in (
-            ("transit", t.transit), ("queue", t.queue),
-            ("service", t.service), ("replay", t.replay),
-        ):
+        for name in ("transit", "queue", "service", "replay"):
             lines.append(
-                f"{name:>12}  {float(value):12.6f}  {100 * shares[name]:8.2f}"
+                f"{name:>12}  {totals[name]:12.6f}  {100 * shares[name]:8.2f}"
             )
         lines.append("")
         lines.append(
@@ -213,10 +201,10 @@ class AttributionSummary:
             f"  {'service s':>10}  {'transit s':>10}"
         )
         for comp in sorted(self.per_component):
-            b = self.per_component[comp]
+            b = self.per_component[comp].to_dict()
             lines.append(
-                f"{comp:>16}  {b.count:>7}  {float(b.queue):10.4f}"
-                f"  {float(b.service):10.4f}  {float(b.transit):10.4f}"
+                f"{comp:>16}  {b['tuples']:>7}  {b['queue']:10.4f}"
+                f"  {b['service']:10.4f}  {b['transit']:10.4f}"
             )
         lines.append("")
         lines.append(
@@ -253,75 +241,39 @@ def attribute_forest(
         if tree.close_kind == "fail":
             reason = tree.fail_reason or "failed"
             summary.failed[reason] = summary.failed.get(reason, 0) + 1
+    per_component: Dict[str, _Bucket] = defaultdict(_Bucket)
+    per_interval: Dict[int, _Bucket] = defaultdict(_Bucket)
     for tree in forest.acked_trees():
-        base = tree.breakdown()
-        if base is None or tree.latency is None:
+        walk = tree._walk()
+        if walk is None or tree.latency is None:
             summary.incomplete += 1
             continue
-        penalty = forest.replay_penalty(tree)
-        replay_known = penalty is not None
-        b = LatencyBreakdown(
-            queue=base.queue,
-            service=base.service,
-            transit=base.transit,
-            replay=penalty if penalty is not None else Fraction(0),
-        )
-        record = TreeAttribution(
+        replay = forest._replay_scaled(tree)
+        parts = (walk.queue, walk.service, walk.transit, replay or 0)
+        b = LatencyBreakdown(*parts)
+        summary.records.append(TreeAttribution(
             root=tree.root,
             msg_id=tree.msg_id,
             close_time=tree.close_time,
             latency=tree.latency,
             retries=tree.retries,
-            path=tree.path_components() or (),
+            path=walk.names,
             breakdown=b,
             exact=b.sums_exactly_to(tree.latency),
-            replay_known=replay_known,
-        )
-        summary.records.append(record)
-        summary.totals.add(b)
-        _add_per_component(summary, tree, b)
-        idx = int(tree.close_time // interval)
-        bucket = summary.per_interval.get(idx)
-        if bucket is None:
-            bucket = summary.per_interval[idx] = _Bucket()
-        bucket.add(b)
+            replay_known=replay is not None,
+        ))
+        summary.totals.add(*parts)
+        # per stage: transit and queue belong to the receiving
+        # component's ingress, service to the component itself, the
+        # deferred-ack hold to the acking (last) component, and the
+        # replay penalty to the spout (it is spout re-emission wait)
+        for comp, (transit, queue, service) in zip(walk.names[1:], walk.hops):
+            per_component[comp].add(queue, service, transit)
+        if walk.hops and walk.hold:
+            per_component[walk.names[-1]].n_service += walk.hold
+        if replay:
+            per_component[walk.names[0]].n_replay += replay
+        per_interval[int(tree.close_time // interval)].add(*parts)
+    summary.per_component = dict(per_component)
+    summary.per_interval = dict(per_interval)
     return summary
-
-
-def _add_per_component(
-    summary: AttributionSummary, tree: SpanTree, b: LatencyBreakdown
-) -> None:
-    """Attribute per-hop components to the hop's destination stage.
-
-    Transit and queue belong to the receiving component's ingress;
-    service to the component itself; the replay penalty to the spout
-    (it is spout re-emission wait).
-    """
-    path = tree.critical_path() or ()
-    prev = Fraction(tree.emit_time)
-    last_exec = prev
-    for hop in path:
-        comp = hop.component or f"task-{hop.dst_task}"
-        bucket = summary.per_component.get(comp)
-        if bucket is None:
-            bucket = summary.per_component[comp] = _Bucket()
-        wait = Fraction(hop.wait)
-        dequeue = Fraction(hop.queue_time)
-        bucket.transit += (dequeue - wait) - prev
-        bucket.queue += wait
-        bucket.service += Fraction(hop.exec_time) - dequeue
-        bucket.count += 1
-        prev = Fraction(hop.exec_time)
-        last_exec = prev
-    if path:
-        # deferred-ack hold: service of the acking (last) component
-        hold = Fraction(tree.close_time) - last_exec
-        if hold:
-            comp = path[-1].component or f"task-{path[-1].dst_task}"
-            summary.per_component[comp].service += hold
-    if b.replay:
-        spout = tree.spout_component or f"task-{tree.spout_task}"
-        bucket = summary.per_component.get(spout)
-        if bucket is None:
-            bucket = summary.per_component[spout] = _Bucket()
-        bucket.replay += b.replay

@@ -27,15 +27,17 @@ latency into components that sum *bitwise-exactly*:
 Exactness contract
 ------------------
 The acker records ``latency = fl(t_ack - t_emit)`` — one correctly
-rounded IEEE-754 subtraction of two event timestamps.  Per-hop
-components here are computed as *exact rationals*
-(:class:`fractions.Fraction`) of those same timestamps, so their sum
-telescopes to exactly ``t_ack - t_emit`` as a rational, and converting
-that single rational to float performs the same single rounding the
-acker did.  Hence ``float(queue + service + transit) == latency``
-**bitwise**, for every completed tuple, on any platform — no epsilon.
-(Individual components can carry the rounding residue of the recorded
-``wait`` field, so a zero-delay hop's transit may be a ±1-ulp rational;
+rounded IEEE-754 subtraction of two event timestamps.  Every finite
+double is an integer multiple of 2**-1074, so components here are sums
+and differences of the exact integers ``timestamp * 2**1074``, which
+never round.  Their sum telescopes to exactly ``(t_ack - t_emit) *
+2**1074``, and the one conversion back, ``n / 2**1074``, is a correctly
+rounded int true division — the same single rounding the acker did, and
+the same one ``float(Fraction)`` (``numerator / denominator``) performs
+on that rational.  Hence ``float(queue + service + transit) ==
+latency`` **bitwise**, for every completed tuple, on any platform — no
+epsilon.  (Individual components can carry the rounding residue of the
+recorded ``wait`` field, so a zero-delay hop's transit may be ±1 ulp;
 only the sum is pinned.)
 
 Causality is recovered from record order: ``record()`` appends events
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.obs.tracer import (
     TUPLE_ACK,
@@ -109,48 +111,72 @@ class SpanHop:
         )
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """Exact-rational latency components of one completed tuple tree.
+#: one second in the exact scaled-integer unit (see the module docstring)
+_ONE = 1 << 1074
 
-    The fields are :class:`fractions.Fraction`; use the ``*_s``
-    properties for floats.  :meth:`total` performs the single rational →
-    float rounding, which matches the acker-recorded latency bitwise
-    (see the module docstring).
+
+def _scaled(x: float) -> int:
+    """``x * 2**1074`` as an exact integer, for any finite float ``x``."""
+    p, q = x.as_integer_ratio()
+    return p << (1075 - q.bit_length())
+
+
+class _ExactComponents:
+    """:class:`~fractions.Fraction` (built only when read) and ``*_s``
+    float views of the ``n_*`` scaled-integer component fields."""
+
+    queue = property(lambda self: Fraction(self.n_queue, _ONE))
+    service = property(lambda self: Fraction(self.n_service, _ONE))
+    transit = property(lambda self: Fraction(self.n_transit, _ONE))
+    replay = property(lambda self: Fraction(self.n_replay, _ONE))
+    queue_s = property(lambda self: self.n_queue / _ONE)
+    service_s = property(lambda self: self.n_service / _ONE)
+    transit_s = property(lambda self: self.n_transit / _ONE)
+    replay_s = property(lambda self: self.n_replay / _ONE)
+
+
+@dataclass(frozen=True)
+class LatencyBreakdown(_ExactComponents):
+    """Exact latency components of one completed tuple tree.
+
+    Stored as seconds × 2**1074.  :meth:`total` performs the single
+    rounding, which matches the acker-recorded latency bitwise (see the
+    module docstring).
     """
 
-    queue: Fraction = Fraction(0)
-    service: Fraction = Fraction(0)
-    transit: Fraction = Fraction(0)
-    replay: Fraction = Fraction(0)
-
-    @property
-    def queue_s(self) -> float:
-        return float(self.queue)
-
-    @property
-    def service_s(self) -> float:
-        return float(self.service)
-
-    @property
-    def transit_s(self) -> float:
-        return float(self.transit)
-
-    @property
-    def replay_s(self) -> float:
-        return float(self.replay)
+    n_queue: int = 0
+    n_service: int = 0
+    n_transit: int = 0
+    n_replay: int = 0
 
     def total(self) -> float:
         """Attempt latency: ``float(queue + service + transit)``."""
-        return float(self.queue + self.service + self.transit)
+        return (self.n_queue + self.n_service + self.n_transit) / _ONE
 
     def end_to_end(self) -> float:
         """First-emission-to-ack latency, replay penalty included."""
-        return float(self.queue + self.service + self.transit + self.replay)
+        return (
+            self.n_queue + self.n_service + self.n_transit + self.n_replay
+        ) / _ONE
 
     def sums_exactly_to(self, latency: float) -> bool:
         """The bitwise attribution invariant against an acker latency."""
         return self.total() == latency
+
+
+class _Walk(NamedTuple):
+    """One pass over a tree's critical path, in scaled integers."""
+
+    #: spout component, then each hop's destination component
+    names: Tuple[str, ...]
+    #: per hop ``(transit, queue, service)``
+    hops: List[Tuple[int, int, int]]
+    #: deferred-ack hold: close minus the last execute (or the emit)
+    hold: int
+    queue: int
+    #: every hop's service plus ``hold``
+    service: int
+    transit: int
 
 
 @dataclass
@@ -210,41 +236,46 @@ class SpanTree:
         path.reverse()
         return path
 
-    def breakdown(self) -> Optional[LatencyBreakdown]:
-        """Exact component decomposition along the critical path.
+    def _walk(self) -> Optional[_Walk]:
+        """The per-hop pass every decomposition reads.
 
         Telescoping over event timestamps: each hop contributes
         ``transit = arrival - departure``, ``queue = wait`` and
-        ``service = execute - dequeue`` as exact rationals, where the
-        arrival is reconstructed as ``dequeue - wait``.  Any gap between
-        the last hop's execute and the close (a deferred ack from a
-        later ``execute`` call of the acking bolt) folds into service,
-        so the components always sum to exactly ``close - emit``.
+        ``service = execute - dequeue``, where the arrival is
+        reconstructed as ``dequeue - wait``.  Any gap between the last
+        hop's execute and the close (a deferred ack from a later
+        ``execute`` call of the acking bolt) is the ``hold``, which
+        folds into service, so the components always sum to exactly
+        ``close - emit``.  ``None`` when the critical path is.
         """
         path = self.critical_path()
         if path is None or self.close_time is None:
             return None
-        queue = service = transit = Fraction(0)
-        prev = Fraction(self.emit_time)  # departure of the first transfer
+        names = [self.spout_component or f"task-{self.spout_task}"]
+        hops = []
+        queue = service = transit = 0
+        prev = _scaled(self.emit_time)  # departure of the first transfer
         for hop in path:
-            wait = Fraction(hop.wait)
-            dequeue = Fraction(hop.queue_time)
-            transit += (dequeue - wait) - prev
+            wait = _scaled(hop.wait)
+            dequeue = _scaled(hop.queue_time)
+            exec_time = _scaled(hop.exec_time)
+            hop_transit = dequeue - wait - prev
+            hop_service = exec_time - dequeue
+            hops.append((hop_transit, wait, hop_service))
+            transit += hop_transit
             queue += wait
-            service += Fraction(hop.exec_time) - dequeue
-            prev = Fraction(hop.exec_time)
-        service += Fraction(self.close_time) - prev  # deferred-ack hold
-        return LatencyBreakdown(queue=queue, service=service, transit=transit)
+            service += hop_service
+            names.append(hop.component or f"task-{hop.dst_task}")
+            prev = exec_time
+        hold = _scaled(self.close_time) - prev
+        return _Walk(tuple(names), hops, hold, queue, service + hold, transit)
 
-    def path_components(self) -> Optional[Tuple[str, ...]]:
-        """Component names along the critical path, spout first."""
-        path = self.critical_path()
-        if path is None:
+    def breakdown(self) -> Optional[LatencyBreakdown]:
+        """Exact component decomposition along the critical path."""
+        walk = self._walk()
+        if walk is None:
             return None
-        head = self.spout_component or f"task-{self.spout_task}"
-        return (head,) + tuple(
-            hop.component or f"task-{hop.dst_task}" for hop in path
-        )
+        return LatencyBreakdown(walk.queue, walk.service, walk.transit)
 
 
 @dataclass
@@ -260,6 +291,10 @@ class SpanForest:
     losses: Dict[str, int] = field(default_factory=dict)
     #: tuple.* events whose root's emit left the ring buffer
     orphan_events: int = 0
+    #: ``(len(trees), index)`` cache behind :meth:`_first_emits`
+    _first_emit_index: Optional[Tuple[int, Dict[Any, float]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def messages(self) -> Dict[Any, List[SpanTree]]:
         """Delivery attempts grouped by ``msg_id``, in emission order.
@@ -274,17 +309,35 @@ class SpanForest:
                 out.setdefault(tree.msg_id, []).append(tree)
         return out
 
-    def replay_penalty(self, tree: SpanTree) -> Optional[Fraction]:
-        """Exact first-emit → this-attempt-emit gap, or ``None`` if the
-        first attempt's emission is not in the trace window."""
+    def _first_emits(self) -> Dict[Any, float]:
+        """``msg_id`` → emit time of its first ``retries == 0`` attempt in
+        ``trees`` order; built once, again only if trees were added."""
+        cache = self._first_emit_index
+        if cache is None or cache[0] != len(self.trees):
+            index: Dict[Any, float] = {}
+            for t in self.trees.values():
+                if t.retries == 0 and t.emit_time is not None:
+                    if t.msg_id is not None:
+                        index.setdefault(t.msg_id, t.emit_time)
+            cache = self._first_emit_index = (len(self.trees), index)
+        return cache[1]
+
+    def _replay_scaled(self, tree: SpanTree) -> Optional[int]:
+        """:meth:`replay_penalty` as a scaled integer."""
         if tree.emit_time is None:
             return None
         if tree.retries == 0:
-            return Fraction(0)
-        for attempt in self.messages().get(tree.msg_id, ()):
-            if attempt.retries == 0 and attempt.emit_time is not None:
-                return Fraction(tree.emit_time) - Fraction(attempt.emit_time)
-        return None
+            return 0
+        first = self._first_emits().get(tree.msg_id)
+        if first is None:
+            return None
+        return _scaled(tree.emit_time) - _scaled(first)
+
+    def replay_penalty(self, tree: SpanTree) -> Optional[Fraction]:
+        """Exact first-emit → this-attempt-emit gap, or ``None`` if the
+        first attempt's emission is not in the trace window."""
+        n = self._replay_scaled(tree)
+        return None if n is None else Fraction(n, _ONE)
 
     def acked_trees(self) -> List[SpanTree]:
         """Acked trees in close order (trace record order)."""
@@ -428,22 +481,17 @@ def folded_stacks(forest: SpanForest) -> Dict[str, int]:
     """
     out: Dict[str, int] = {}
     for tree in forest.acked_trees():
-        path = tree.critical_path()
-        if path is None or not path:
+        walk = tree._walk()
+        if walk is None or not walk.hops:
             continue
-        head = tree.spout_component or f"task-{tree.spout_task}"
-        frames = [head]
-        prev = Fraction(tree.emit_time)
-        for hop in path:
-            frames.append(hop.component or f"task-{hop.dst_task}")
-            hop_time = Fraction(hop.exec_time) - prev
-            prev = Fraction(hop.exec_time)
-            stack = ";".join(frames)
-            out[stack] = out.get(stack, 0) + int(round(float(hop_time) * 1e6))
-        hold = Fraction(tree.close_time) - prev
-        if hold:
-            stack = ";".join(frames)
-            out[stack] = out.get(stack, 0) + int(round(float(hold) * 1e6))
+        names = walk.names
+        for depth, (transit, queue, service) in enumerate(walk.hops, 2):
+            stack = ";".join(names[:depth])
+            hop_time = (transit + queue + service) / _ONE  # execute - prev
+            out[stack] = out.get(stack, 0) + round(hop_time * 1e6)
+        if walk.hold:
+            stack = ";".join(names)
+            out[stack] = out.get(stack, 0) + round(walk.hold / _ONE * 1e6)
     return out
 
 

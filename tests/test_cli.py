@@ -74,6 +74,31 @@ def test_jobs_not_an_int_is_a_usage_error(capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["chaos", "--runs", "0"], "argument --runs: must be > 0, got 0"),
+        (["reliability", "--duration", "0"],
+         "argument --duration: must be > 0, got 0"),
+        (["reliability", "--duration", "-5"],
+         "argument --duration: must be > 0, got -5"),
+        (["reliability", "--rate", "0"],
+         "argument --rate: must be > 0, got 0"),
+        (["reliability", "--k", "99"], "argument --k: invalid choice: 99"),
+    ],
+    ids=["chaos-runs-0", "reliability-duration-0", "reliability-duration-neg",
+         "reliability-rate-0", "reliability-k-99"],
+)
+def test_out_of_range_input_is_a_usage_error(argv, message, capsys):
+    """Bad inputs exit 2 with one argparse line, never a traceback."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err.strip().splitlines()[-1]
+    assert "Traceback" not in err
+
+
 def test_predict_grid_command_writes_report(capsys, tmp_path):
     import json
 
