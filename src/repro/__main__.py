@@ -348,7 +348,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         control=control,
         jobs=args.jobs,
         cache=args.cache,
-        scheduler=args.scheduler,
         retrain_interval=args.retrain_interval,
     )
     print(f"app          : {args.app}  arm: {args.arm}")
@@ -392,7 +391,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         arms=tuple(args.arms),
         jobs=args.jobs,
         cache=args.cache,
-        scheduler=args.scheduler,
     )
     spec = report.scenario
     print(f"scenario     : {spec.name}  ({spec.description})")
@@ -618,11 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slowdowns", type=int, default=0)
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the campaign report JSON here")
-    p.add_argument("--scheduler", default="heap",
-                   choices=("heap", "calendar", "wheel"),
-                   help="kernel event-queue implementation; a pure "
-                        "performance knob — reports are byte-identical "
-                        "under any choice (default: heap)")
     _parallel_flags(p)
     p.set_defaults(func=_cmd_chaos)
 
@@ -646,10 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-run seeds)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the campaign report JSON here")
-    p.add_argument("--scheduler", default="heap",
-                   choices=("heap", "calendar", "wheel"),
-                   help="kernel event-queue implementation; reports are "
-                        "byte-identical under any choice (default: heap)")
     _parallel_flags(p)
     p.set_defaults(func=_cmd_scenario)
 

@@ -1,4 +1,4 @@
-"""Hot-path performance benchmarks and their frozen legacy baselines.
+"""Hot-path performance benchmarks.
 
 ``python -m repro bench`` (or :func:`repro.bench.harness.main`) times the
 simulator's tracked hot paths — DES event loop, transport send/deliver,
@@ -6,10 +6,6 @@ stats-monitor ingest/extract, DRNN fit and predict — under a
 warmup/repeat/median protocol and writes a schema-versioned
 ``BENCH_*.json``.  See ``docs/performance.md`` for the protocol, the JSON
 schema, and the recorded before/after numbers.
-
-The ``legacy_*`` modules are verbatim copies of the pre-optimisation
-implementations; they exist so a single benchmark run self-documents its
-speedup ratios and must not be imported outside this package.
 """
 
 from repro.bench.harness import (

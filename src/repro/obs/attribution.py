@@ -12,8 +12,7 @@ All internal accumulation stays in exact scaled integers (seconds ×
 critical path.  Floats appear only at the report boundary, each one the
 exact rational rounded once — an int true division, the same rounding
 ``float(Fraction)`` performs — so the emitted JSON is byte-identical
-across schedulers, ``--jobs`` values, and platforms for the same
-simulated run.
+across ``--jobs`` values and platforms for the same simulated run.
 """
 
 from __future__ import annotations

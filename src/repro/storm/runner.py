@@ -249,12 +249,11 @@ class StormSimulation:
         metrics_interval: float = 1.0,
         faults: Sequence[Fault] = (),
         observability: Union[ObservabilityConfig, Observability, None] = None,
-        scheduler: str = "heap",
     ) -> None:
         # Edge ids are per-Environment (each counter starts at 1), so
         # back-to-back simulations in one process stay independent.
         self.obs = Observability(observability)
-        self.env = Environment(queue=scheduler)
+        self.env = Environment()
         if self.obs.profiler is not None:
             self.env.set_profiler(self.obs.profiler)
         self.cluster = Cluster(
